@@ -116,6 +116,7 @@ class AvailabilityZone(object):
         self.rng = derive_rng(rng, "az", zone_id)
         self._new_instance_id = make_id_factory("fi-" + zone_id)
         self._fi_index = {}
+        self._fi_floor = {}
         self._fi_by_id = {}
         self._fi_stale = {}
         self._pool_order = None
@@ -363,10 +364,14 @@ class AvailabilityZone(object):
         if self._ka_dynamic:
             self._apply_keepalive_policy(fi, pool, deployment, now)
         index = self._fi_index.get(deployment)
+        busy = fi.busy_until
         if index is None:
             self._fi_index[deployment] = [fi]
+            self._fi_floor[deployment] = busy
         else:
             index.append(fi)
+            if busy < self._fi_floor[deployment]:
+                self._fi_floor[deployment] = busy
         self._fi_by_id[fi.instance_id] = fi
         return fi, False
 
@@ -383,7 +388,12 @@ class AvailabilityZone(object):
         """Keep ``fi`` busy for ``hold_seconds`` (retry strategies do this
         so a re-issued request cannot land back on the same FI)."""
         now = self._now(now)
-        fi.touch(now, hold_seconds, self.keepalive)
+        # A hold can shorten a busy FI's busy window, so it lowers both
+        # floors: the FI sits in this zone's index and in its pool's.
+        self.pools[fi.cpu_key].hold(fi, now, hold_seconds, self.keepalive)
+        busy = fi.busy_until
+        if busy < self._fi_floor.get(fi.deployment, math.inf):
+            self._fi_floor[fi.deployment] = busy
 
     # -- drift & scaling hooks ------------------------------------------------------
     def rebalance(self, target_shares, now=None, total_hosts=None):
@@ -506,15 +516,29 @@ class AvailabilityZone(object):
         return pools[0].slots_per_host if pools else 64
 
     def _find_warm_instance(self, deployment, now):
-        # No per-call rebuild: expired entries are compacted by the expiry
-        # heap's release callback, so this is a pure scan for the first
-        # idle FI (idleness already implies not-expired).
+        """First idle FI of ``deployment`` in admit order, or None.
+
+        ``_fi_floor[deployment]`` is a lower bound on the ``busy_until`` of
+        every FI in the deployment's index, so at ``now`` below it nothing
+        can be idle and no FI is visited.  A scan that finds nothing
+        recomputes the exact floor.  The floor is lowered where a new FI
+        joins the index (:meth:`invoke_one`) and by :meth:`hold_instance`;
+        reusing an idle FI never breaks it (floor <= old ``busy_until`` <=
+        ``now`` <= new ``busy_until``), whatever order ``now`` comes in.
+        Expired entries are compacted by the expiry heap's release
+        callback, so there is no per-call rebuild.
+        """
         instances = self._fi_index.get(deployment)
-        if not instances:
+        if not instances or now < self._fi_floor[deployment]:
             return None
+        floor = math.inf
         for fi in instances:
-            if fi.is_idle(now):
+            busy = fi.busy_until
+            if busy <= now < fi._expire_at:  # FIBucket.is_idle, inlined
                 return fi
+            if busy < floor:
+                floor = busy
+        self._fi_floor[deployment] = floor
         return None
 
     def _place_new_fis(self, deployment, count, now, duration,

@@ -30,7 +30,7 @@ from repro.simclock import SimClock
 from repro.cloudsim.account import CloudAccount
 from repro.cloudsim.handlers import SleepHandler
 from repro.cloudsim.network import NetworkModel
-from repro.cloudsim.provider import provider_by_name
+from repro.cloudsim.provider import ProviderConfig, provider_by_name
 
 
 class Deployment(object):
@@ -329,10 +329,15 @@ class Cloud(object):
 
     # -- accounts -----------------------------------------------------------------
     def create_account(self, account_id, provider="aws"):
+        """Open an account on ``provider``: a registered provider name, or a
+        :class:`ProviderConfig` of the same name with its own scalars
+        (e.g. a lifted concurrency quota) that leaves the registry alone."""
         if account_id in self.accounts:
             raise ConfigurationError(
                 "duplicate account {!r}".format(account_id))
-        account = CloudAccount(account_id, provider_by_name(provider))
+        if not isinstance(provider, ProviderConfig):
+            provider = provider_by_name(provider)
+        account = CloudAccount(account_id, provider)
         self.accounts[account_id] = account
         return account
 

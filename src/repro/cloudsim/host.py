@@ -25,11 +25,23 @@ times per poll.  The pool now maintains:
   When a bucket's ``expire_at`` moves (warm reuse, forced release), a fresh
   entry is pushed and the stale one is skipped on pop by comparing against
   the bucket's current ``_heap_key``;
-* ``_warm`` — a per-deployment index of live buckets in insertion order,
-  so :meth:`claim_warm` / :meth:`idle_warm` only scan the one deployment's
-  buckets instead of every tenant's.
+* ``_warm`` — a per-deployment index of buckets in admit order, so
+  :meth:`claim_warm` / :meth:`idle_warm` only scan the one deployment's
+  buckets instead of every tenant's.  Released buckets stay in the lists
+  (claims skip them) until :meth:`expire`'s global compaction drops them;
+* ``_floor`` — the per-deployment *busy-until floor*: a lower bound on the
+  ``busy_until`` of every live bucket in that deployment's ``_warm`` list.
+  A claim at ``now < floor`` cannot find an idle bucket and returns
+  without visiting one; a claim that does scan recomputes the exact floor
+  as it walks.  The floor is lowered wherever a ``busy_until`` can drop
+  below it: new buckets (:meth:`allocate`, and :meth:`_admit` for
+  :meth:`allocate_instance`, claim split-offs and pinned extras) and
+  :meth:`hold`, which may shorten a busy bucket's busy window.  Touching
+  an *idle* bucket never breaks the bound: floor <= old ``busy_until``
+  <= ``now`` <= new ``busy_until``.  The argument never assumes ``now``
+  moves forward, so the bound holds for any sequence of ``now`` values.
 
-All three structures are invisible to callers: the public API and — by
+All four structures are invisible to callers: the public API and — by
 design — every seeded placement outcome are identical to the naive
 sweep-everything implementation (see ``tests/test_capacity_equivalence``).
 """
@@ -39,6 +51,8 @@ import heapq
 from repro.common.errors import ConfigurationError
 from repro.cloudsim.instance import FIBucket, FunctionInstance
 from repro.obs.hooks import NULL_BUS
+
+_INF = float("inf")
 
 
 class HostPool(object):
@@ -60,6 +74,7 @@ class HostPool(object):
         self._occupied = 0
         self._dead = 0
         self._warm = {}
+        self._floor = {}
         self.on_release = None
         self.bus = NULL_BUS
         self.zone_id = ""
@@ -107,6 +122,8 @@ class HostPool(object):
             # Global compaction: rebuild the bucket list and the warm index
             # together.  Per-deployment admit order is preserved because
             # ``_warm`` lists are always subsequences of ``_buckets``.
+            # Dropping entries only raises their minimum ``busy_until``,
+            # so every ``_floor`` stays a valid bound.
             self._buckets = live = [b for b in buckets if not b._released]
             self._dead = 0
             warm = {}
@@ -163,10 +180,14 @@ class HostPool(object):
         self._seq = seq = self._seq + 1
         heapq.heappush(heap, (key, seq, bucket))
         warm = self._warm.get(deployment)
+        busy = bucket.busy_until
         if warm is None:
             self._warm[deployment] = [bucket]
+            self._floor[deployment] = busy
         else:
             warm.append(bucket)
+            if busy < self._floor[deployment]:
+                self._floor[deployment] = busy
         if self.bus.enabled:
             self.bus.emit("host.allocate", now, zone=self.zone_id,
                           cpu=self.cpu_key, count=count)
@@ -194,22 +215,23 @@ class HostPool(object):
         Returns the number actually claimed.  Claimed FIs become busy for
         ``duration`` and get a refreshed keep-alive.  Buckets are split when
         only part of them is needed.  Only this deployment's warm index is
-        scanned — other tenants' buckets are never visited.
+        scanned — other tenants' buckets are never visited — and not even
+        that while ``now`` is below the deployment's busy-until floor.
         """
         remaining = int(count)
         if remaining <= 0:
             return 0
         warm = self._warm.get(deployment)
-        if not warm:
+        if not warm or now < self._floor[deployment]:
             return 0
         claimed = 0
-        live = []
+        floor = _INF
         new_buckets = []
         for bucket in warm:
             if bucket._released:
                 continue
-            live.append(bucket)
-            if remaining > 0 and bucket.is_idle(now):
+            busy = bucket.busy_until
+            if remaining > 0 and busy <= now < bucket._expire_at:
                 take = min(bucket._count, remaining)
                 if take == bucket._count:
                     if bucket._pinned:
@@ -218,6 +240,7 @@ class HostPool(object):
                         bucket.busy_until = now + duration
                     else:
                         bucket.touch(now, duration, keepalive)
+                    busy = bucket.busy_until
                 else:
                     bucket.count -= take
                     reused = FIBucket(deployment, self.cpu_key, take,
@@ -236,13 +259,30 @@ class HostPool(object):
                     new_buckets.append(reused)
                 remaining -= take
                 claimed += take
-        self._warm[deployment] = live
+            if busy < floor:
+                floor = busy
+        self._floor[deployment] = floor
         for bucket in new_buckets:
             self._admit(bucket)
         if claimed and self.bus.enabled:
             self.bus.emit("host.reuse", now, zone=self.zone_id,
                           cpu=self.cpu_key, count=claimed)
         return claimed
+
+    def hold(self, bucket, now, seconds, keepalive):
+        """Keep ``bucket`` busy for ``seconds`` from ``now`` (a retry hold).
+
+        Unlike a warm claim, a hold may *shorten* the busy window of a
+        bucket that is still executing, so it lowers the floor.  A pinned
+        bucket keeps its pin horizon, as on every other reuse path.
+        """
+        if bucket._pinned:
+            bucket.busy_until = now + seconds
+        else:
+            bucket.touch(now, seconds, keepalive)
+        busy = bucket.busy_until
+        if busy < self._floor.get(bucket.deployment, _INF):
+            self._floor[bucket.deployment] = busy
 
     def idle_warm(self, deployment, now):
         """Warm-idle FI count available to ``deployment`` right now."""
@@ -279,11 +319,16 @@ class HostPool(object):
         self._buckets.append(bucket)
         self._occupied += bucket._count
         self._schedule_expiry(bucket)
-        warm = self._warm.get(bucket.deployment)
+        deployment = bucket.deployment
+        busy = bucket.busy_until
+        warm = self._warm.get(deployment)
         if warm is None:
-            self._warm[bucket.deployment] = [bucket]
+            self._warm[deployment] = [bucket]
+            self._floor[deployment] = busy
         else:
             warm.append(bucket)
+            if busy < self._floor[deployment]:
+                self._floor[deployment] = busy
 
     def _schedule_expiry(self, bucket):
         key = bucket._expire_at

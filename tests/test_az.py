@@ -185,6 +185,29 @@ class TestInvokeOne(object):
         fi2, reused = zone.invoke_one("fn", lambda cpu: 0.5)
         assert not reused
 
+    def test_short_hold_on_busy_fi_frees_it_early(self, zone):
+        # The hold shortens the FI's busy window below the warm lookup's
+        # busy-until floor, on the scalar and on the batch path alike.
+        fi, _ = zone.invoke_one("fn", lambda cpu: 10.0)
+        zone.hold_instance(fi, 0.5)
+        zone.clock.advance(1.0)
+        fi2, reused = zone.invoke_one("fn", lambda cpu: 10.0)
+        assert reused and fi2 is fi
+        zone.hold_instance(fi, 0.5)
+        zone.clock.advance(1.0)
+        result = zone.place_batch("fn", 1, duration=1.0, window=0.0)
+        assert sum(result.reused_fi_counts.values()) == 1
+
+    def test_first_idle_fi_in_admit_order(self, zone):
+        first, _ = zone.invoke_one("fn", lambda cpu: 2.0)
+        second, _ = zone.invoke_one("fn", lambda cpu: 1.0)
+        zone.clock.advance(1.5)
+        fi, reused = zone.invoke_one("fn", lambda cpu: 1.0)
+        assert reused and fi is second
+        zone.clock.advance(1.0)
+        fi, reused = zone.invoke_one("fn", lambda cpu: 1.0)
+        assert reused and fi is first
+
 
 class TestRebalance(object):
     def test_rebalance_to_new_shares(self, zone):

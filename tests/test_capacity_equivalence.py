@@ -13,9 +13,10 @@ implementation it replaced.  This module keeps that promise executable:
   campaign and a 400-invocation routing campaign (warm reuse, ``force_new``
   storms, holds) and require byte-identical transcripts;
 * a hypothesis state machine interleaves allocations, warm claims, splits,
-  resizes, and *external* bucket mutations (the background process shrinks
-  counts and force-expires buckets out from under the pool) and checks the
-  O(1) cached occupancy never drifts from the ground-truth sweep.
+  resizes, holds, and *external* bucket mutations (the background process
+  shrinks counts and force-expires buckets out from under the pool) and
+  checks the O(1) cached occupancy never drifts from the ground-truth
+  sweep, and that every claim picks the same buckets as the naive scan.
 """
 
 import pytest
@@ -134,6 +135,9 @@ class NaiveHostPool(HostPool):
     def idle_warm(self, deployment, now):
         return sum(b.count for b in self._buckets
                    if b.deployment == deployment and b.is_idle(now))
+
+    def hold(self, bucket, now, seconds, keepalive):
+        bucket.touch(now, seconds, keepalive)
 
     def _admit(self, bucket):
         # Plain records, like the seed: no accounting hooks, no heap entry.
@@ -292,7 +296,8 @@ class PoolPairMachine(RuleBasedStateMachine):
         self.now = 0.0
         self.stock = HostPool("cpu-x", hosts=4, slots_per_host=16)
         self.naive = NaiveHostPool("cpu-x", hosts=4, slots_per_host=16)
-        self.pairs = []  # (stock_bucket, naive_bucket) from allocate()
+        self.pairs = []  # (stock, naive) twins from both allocate rules
+        self.instances = 0
 
     # -- operations --------------------------------------------------------
     @rule(dep=st.sampled_from(DEPLOYMENTS),
@@ -310,6 +315,21 @@ class PoolPairMachine(RuleBasedStateMachine):
         self.pairs.append((a, b))
 
     @rule(dep=st.sampled_from(DEPLOYMENTS),
+          duration=st.floats(min_value=0.1, max_value=10.0),
+          keepalive=st.floats(min_value=1.0, max_value=120.0))
+    def allocate_instance(self, dep, duration, keepalive):
+        # The scalar path's identified FIs join the same warm index.
+        if self.stock.free_slots(self.now) < 1:
+            return
+        self.instances += 1
+        instance_id = "fi-{}".format(self.instances)
+        a = self.stock.allocate_instance(instance_id, "host-0", dep,
+                                         self.now, duration, keepalive)
+        b = self.naive.allocate_instance(instance_id, "host-0", dep,
+                                         self.now, duration, keepalive)
+        self.pairs.append((a, b))
+
+    @rule(dep=st.sampled_from(DEPLOYMENTS),
           want=st.integers(min_value=1, max_value=32),
           duration=st.floats(min_value=0.1, max_value=10.0),
           keepalive=st.floats(min_value=1.0, max_value=120.0))
@@ -319,9 +339,33 @@ class PoolPairMachine(RuleBasedStateMachine):
         got_naive = self.naive.claim_warm(dep, want, self.now, duration,
                                           keepalive)
         assert got_stock == got_naive
+        # Which buckets were claimed, not only how many: both pools must
+        # hold the same live bucket states in the same admit order.
+        assert _live_states(self.stock, self.now) == _live_states(
+            self.naive, self.now)
+
+    @precondition(lambda self: self.pairs)
+    @rule(pick=st.integers(min_value=0, max_value=10 ** 6),
+          seconds=st.floats(min_value=0.0, max_value=20.0),
+          keepalive=st.floats(min_value=1.0, max_value=120.0))
+    def hold(self, pick, seconds, keepalive):
+        # The zone's retry hold re-busies a bucket through ``HostPool.hold``.
+        # A short hold on a bucket that is still busy *lowers* its
+        # ``busy_until`` — the one mutation the warm floor must absorb.
+        a, b = self.pairs[pick % len(self.pairs)]
+        if a._released or a.is_expired(self.now):
+            return
+        self.stock.hold(a, self.now, seconds, keepalive)
+        self.naive.hold(b, self.now, seconds, keepalive)
 
     @rule(dt=st.floats(min_value=0.0, max_value=200.0))
     def advance(self, dt):
+        self.now += dt
+
+    @rule(dt=st.floats(min_value=0.0, max_value=5.0))
+    def tick(self, dt):
+        # Steps shorter than a busy window: claims land while some
+        # buckets are still busy.
         self.now += dt
 
     @rule(hosts=st.integers(min_value=0, max_value=8))
@@ -380,6 +424,14 @@ class PoolPairMachine(RuleBasedStateMachine):
         for dep in DEPLOYMENTS:
             assert (self.stock.idle_warm(dep, self.now)
                     == self.naive.idle_warm(dep, self.now))
+
+
+def _live_states(pool, now):
+    """The pool's live buckets as ``(deployment, count, busy_until,
+    expire_at)`` tuples, in admit order."""
+    pool.expire(now)
+    return [(b.deployment, b.count, b.busy_until, b.expire_at)
+            for b in pool._buckets if not b._released]
 
 
 PoolPairMachine.TestCase.settings = settings(

@@ -641,9 +641,13 @@ class TestKillNineResume:
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         run_dir = str(tmp_path / "run")
+        # 2,000 polls of 1,000 requests per cell make each of the 6
+        # one-cell chunks take ~0.1 s, several 20 ms polls of the journal
+        # below, so the kill lands mid-sweep rather than after the last
+        # chunk was journaled.
         base = [sys.executable, "-m", "repro", "sweep", "campaign",
                 "--zones", "us-west-1a,us-west-1b", "--seeds", "0,1,2",
-                "--polls", "2", "--endpoints", "3", "--requests", "150"]
+                "--polls", "2000", "--endpoints", "3", "--requests", "1000"]
         reference = str(tmp_path / "reference.json")
         subprocess.run(base + ["--workers", "1", "--json", reference],
                        env=env, check=True, capture_output=True,

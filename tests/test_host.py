@@ -103,6 +103,56 @@ class TestWarmReuse(object):
                                keepalive=300.0) == 0
 
 
+class TestBusyUntilFloor(object):
+    """A claim below the deployment's busy-until floor visits nothing; the
+    floor must follow every ``busy_until`` that can drop below it."""
+
+    def test_all_busy_claims_nothing(self, pool):
+        pool.allocate("fn", 4, now=0.0, duration=5.0, keepalive=300.0)
+        assert pool.claim_warm("fn", 4, now=1.0, duration=1.0,
+                               keepalive=300.0) == 0
+        assert pool.claim_warm("fn", 4, now=5.0, duration=1.0,
+                               keepalive=300.0) == 4
+
+    def test_hold_shortening_a_busy_bucket_lowers_the_floor(self, pool):
+        bucket = pool.allocate("fn", 4, now=0.0, duration=5.0,
+                               keepalive=300.0)
+        pool.hold(bucket, now=0.0, seconds=0.5, keepalive=300.0)
+        assert bucket.busy_until == 0.5
+        assert pool.claim_warm("fn", 4, now=1.0, duration=1.0,
+                               keepalive=300.0) == 4
+
+    def test_new_instance_lowers_the_floor(self, pool):
+        pool.allocate("fn", 4, now=0.0, duration=10.0, keepalive=300.0)
+        pool.allocate_instance("fi-1", "host-1", "fn", now=0.0,
+                               duration=1.0, keepalive=300.0)
+        assert pool.claim_warm("fn", 8, now=2.0, duration=1.0,
+                               keepalive=300.0) == 1
+
+    def test_claims_follow_the_earliest_busy_bucket(self, pool):
+        pool.allocate("fn", 4, now=0.0, duration=5.0, keepalive=300.0)
+        pool.allocate("fn", 4, now=0.0, duration=1.0, keepalive=300.0)
+        # Claiming 2 of the idle 4 splits them off, busy until 3.5; the
+        # full scan leaves the floor at the parent's 1.0.
+        assert pool.claim_warm("fn", 2, now=2.0, duration=1.5,
+                               keepalive=300.0) == 2
+        assert pool.claim_warm("fn", 8, now=3.0, duration=10.0,
+                               keepalive=300.0) == 2
+        # Everything is busy now; the earliest is the split-off at 3.5.
+        assert pool.claim_warm("fn", 8, now=3.4, duration=1.0,
+                               keepalive=300.0) == 0
+        assert pool.claim_warm("fn", 8, now=3.5, duration=1.0,
+                               keepalive=300.0) == 2
+
+    def test_floor_holds_when_time_goes_backwards(self, pool):
+        pool.allocate("fn", 4, now=10.0, duration=1.0, keepalive=300.0)
+        assert pool.claim_warm("fn", 4, now=20.0, duration=1.0,
+                               keepalive=300.0) == 4
+        pool.allocate("fn", 2, now=0.0, duration=1.0, keepalive=300.0)
+        assert pool.claim_warm("fn", 8, now=1.5, duration=1.0,
+                               keepalive=300.0) == 2
+
+
 class TestResizing(object):
     def test_set_hosts_grows(self, pool):
         assert pool.set_hosts(8, now=0.0) == 8

@@ -154,6 +154,22 @@ class TestContainerReuseFloor(object):
         assert aws_cold == 80
         assert caas_cold <= 10
 
+    def test_held_pinned_instance_stays_pinned(self):
+        # Regression: a retry hold used to refresh a pinned FI's keep-alive
+        # like a sliding-window FI's, so the pinned floor expired after
+        # the idle TTL.
+        zone_id = PACK_ZONES["ce-caas"]
+        cloud = CloudSpec.for_zones([zone_id], seed=5).build()
+        account = cloud.create_account("acct", "ce-caas")
+        deployment = cloud.deploy(account, zone_id, "fn", 1024,
+                                  handler=_handler())
+        first = cloud.invoke(deployment)
+        cloud.hold(deployment, first, 2.0)
+        cloud.clock.advance(1200.0)
+        again = cloud.invoke(deployment)
+        assert again.reused
+        assert again.instance_id == first.instance_id
+
 
 class TestSpotPreemption(object):
     def test_preemption_fires_and_is_deterministic(self):
