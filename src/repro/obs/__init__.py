@@ -59,10 +59,6 @@ class Observability(object):
         self.registry = MetricsRegistry()
         self.tracer = Tracer(max_traces=max_traces)
         self.recorder = EventRecorder(self.bus, capacity=event_capacity)
-        # Pre-bound metric handles for the batch-poll bridge arm: one
-        # zone-keyed lookup replaces seven registry label resolutions per
-        # event, keeping the live-bus cost of a 100k-request batch O(1).
-        self._poll_batch_handles = {}
         if bridge:
             self.bus.subscribe(self._bridge)
 
@@ -100,10 +96,14 @@ class Observability(object):
             if not fields["reused"]:
                 registry.counter("cold_starts_total", **labels).inc()
         elif name == "cloud.poll_batch":
+            # Pre-bound handles: one cached lookup replaces seven registry
+            # label resolutions per event.  The cache lives on the
+            # registry, so ``registry.clear()`` drops it with the series.
             zone = fields["zone"]
-            handles = self._poll_batch_handles.get(zone)
+            key = ("cloud.poll_batch", zone)
+            handles = registry.handle_cache.get(key)
             if handles is None:
-                handles = self._poll_batch_handles[zone] = (
+                handles = registry.handle_cache[key] = (
                     registry.counter("poll_batches_total", zone=zone),
                     registry.counter("poll_batch_requests_total",
                                      zone=zone),

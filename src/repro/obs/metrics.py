@@ -291,6 +291,9 @@ class MetricsRegistry(object):
     mid-mutation dict.  Updates on an already-obtained metric handle
     (``.inc()``, ``.observe()``) are plain attribute writes and stay
     lock-free; holding a pre-bound handle is the zero-overhead hot path.
+    Callers that keep such handles across calls park them in
+    :attr:`handle_cache`, which :meth:`clear` empties together with the
+    series, so a cached handle can never outlive the series it points to.
 
     >>> registry = MetricsRegistry()
     >>> registry.counter("requests_total", zone="us-west-1a").inc()
@@ -301,6 +304,7 @@ class MetricsRegistry(object):
     def __init__(self):
         self._families = {}
         self._lock = threading.Lock()
+        self.handle_cache = {}
 
     # -- access ------------------------------------------------------------
     def counter(self, name, **labels):
@@ -380,6 +384,7 @@ class MetricsRegistry(object):
     def clear(self):
         with self._lock:
             self._families.clear()
+            self.handle_cache.clear()
 
     def __len__(self):
         with self._lock:

@@ -10,11 +10,12 @@ much to trust it:
   empirical Figure-5 curves;
 * **sample-size planning**: how many more observations until a share is
   known to ±ε at a given confidence.
+
+``scipy.stats`` is imported inside the two methods that use it, so
+``import repro`` (and every sweep worker it starts) does not pay for it.
 """
 
 import math
-
-from scipy import stats
 
 from repro.common.errors import CharacterizationError, ConfigurationError
 
@@ -68,6 +69,8 @@ class CharacterizationEstimator(object):
             alpha = self._effective[cpu_key] + self.prior
             beta = (self.effective_samples - self._effective[cpu_key]
                     + self.prior * max(1, len(self._effective) - 1))
+        from scipy import stats
+
         tail = (1.0 - confidence) / 2.0
         low = float(stats.beta.ppf(tail, alpha, beta))
         high = float(stats.beta.ppf(1.0 - tail, alpha, beta))
@@ -106,6 +109,8 @@ class CharacterizationEstimator(object):
         """
         if target_halfwidth <= 0:
             raise ConfigurationError("target_halfwidth must be positive")
+        from scipy import stats
+
         share = self._effective.get(cpu_key, 0.0)
         total = self.effective_samples
         p = (share + self.prior) / (total + 2 * self.prior)

@@ -5,11 +5,11 @@ The global map (Figure 2) invites the question *which zones look alike?*
 characterization budgets.  This module computes the pairwise
 total-variation distance matrix over characterizations and clusters zones
 agglomeratively (scipy's linkage) at a chosen distance threshold.
+scipy is imported inside :meth:`SimilarityMatrix.clusters`, its only user,
+so loading the package does not pay for it.
 """
 
 import numpy as np
-from scipy.cluster import hierarchy
-from scipy.spatial.distance import squareform
 
 from repro.common.errors import ConfigurationError
 from repro.common.distributions import total_variation_distance
@@ -67,6 +67,9 @@ class SimilarityMatrix(object):
         """
         if threshold <= 0:
             raise ConfigurationError("threshold must be positive")
+        from scipy.cluster import hierarchy
+        from scipy.spatial.distance import squareform
+
         condensed = squareform(self._matrix, checks=False)
         linkage = hierarchy.linkage(condensed, method=method)
         labels = hierarchy.fcluster(linkage, t=threshold,

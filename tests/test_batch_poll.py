@@ -31,6 +31,7 @@ from repro.common.rng import derive_rng
 from repro.faults.injector import FaultInjector
 from repro.faults.models import ColdStartStorm, LatencySpike
 from repro.obs import Observability
+from repro.obs.export import prometheus_text
 from tests.helpers import make_cloud
 
 
@@ -211,6 +212,35 @@ class TestBatchPollResult(object):
         # Second batch reuses the pre-bound handles.
         cloud.poll_batch(deployment, 100)
         assert registry.get("poll_batches_total", zone=zone).value == 2
+
+    def test_bridge_rebinds_handles_after_registry_clear(self):
+        cloud = make_cloud(seed=3)
+        obs = Observability().install(cloud)
+        account = cloud.create_account("acct", "aws")
+        deployment = cloud.deploy(account, "test-1a", "fn", 1024,
+                                  handler=_sleeper())
+        zone = deployment.zone_id
+        registry = obs.registry
+        cloud.poll_batch(deployment, 200)
+        registry.clear()
+        assert registry.get("poll_batches_total", zone=zone) is None
+        result = cloud.poll_batch(deployment, 100)
+        # Every series the arm writes comes back, counting only the
+        # post-clear batch (a stale handle cache would leave them absent).
+        assert registry.get("poll_batches_total", zone=zone).value == 1
+        assert registry.get("poll_batch_requests_total",
+                            zone=zone).value == 100
+        assert registry.get("poll_batch_served_total",
+                            zone=zone).value == result.served
+        assert registry.get("poll_batch_runtime_seconds_total",
+                            zone=zone).value == result.runtime_total_s
+        for name in ("poll_batch_failed_total",
+                     "poll_batch_cold_starts_total",
+                     "poll_batch_cost_usd_total"):
+            assert registry.get(name, zone=zone) is not None, name
+        # ...and reaches the exposition format that /metrics serves.
+        text = prometheus_text(registry)
+        assert 'poll_batches_total{{zone="{}"}} 1'.format(zone) in text
 
 
 class TestDurationsOnContract(object):
