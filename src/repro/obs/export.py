@@ -14,6 +14,7 @@ for diffing two snapshots without a Prometheus server).
 import json
 
 from repro.common.errors import ConfigurationError
+from repro.obs.catalog import HELP
 from repro.obs.metrics import COUNTER, GAUGE, HISTOGRAM
 
 
@@ -82,11 +83,19 @@ def _format_value(value):
 
 
 def prometheus_text(registry):
-    """Render a registry snapshot in the Prometheus text format."""
+    """Render a registry snapshot in the Prometheus text format.
+
+    Each family opens with ``# HELP`` (text from
+    :data:`repro.obs.catalog.HELP`; families the catalog does not know
+    get none) and ``# TYPE``.
+    """
     lines = []
     last_name = None
     for name, kind, labels, metric in registry.collect():
         if name != last_name:
+            help_text = HELP.get(name)
+            if help_text is not None:
+                lines.append("# HELP {} {}".format(name, help_text))
             lines.append("# TYPE {} {}".format(name, kind))
             last_name = name
         if kind in (COUNTER, GAUGE):

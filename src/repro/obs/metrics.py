@@ -125,58 +125,76 @@ class Histogram(object):
         if self.max is None or value > self.max:
             self.max = value
         self.bucket_counts[bisect.bisect_left(self.buckets, value)] += 1
-        if len(self._reservoir) < self._reservoir_size:
-            self._reservoir.append(value)
+        reservoir = self._reservoir
+        if len(reservoir) < self._reservoir_size:
+            reservoir.append(value)
         else:
-            slot = self._rng.randrange(self.count)
+            # ``randrange(count)`` inlined: CPython draws the same
+            # ``getrandbits(count.bit_length())`` words and rejects any
+            # slot >= count, so the reservoir stays bit-identical.
+            count = self.count
+            bits = count.bit_length()
+            getrandbits = self._rng.getrandbits
+            slot = getrandbits(bits)
+            while slot >= count:
+                slot = getrandbits(bits)
             if slot < self._reservoir_size:
-                self._reservoir[slot] = value
+                reservoir[slot] = value
 
     def observe_many(self, values):
-        """Record an array of observations in one vectorized pass.
+        """Record an array of observations in one call.
 
         Semantically identical to calling :meth:`observe` per element in
         order — same bucket counts, same reservoir contents (algorithm R
-        consumes the per-histogram RNG element by element) — but the
-        count/sum/min/max and bucket accounting run through numpy, which
-        is what lets the serving gateway fold a coalesced batch's latency
-        array into quantile accounting without a Python-level loop.
+        consumes the per-histogram RNG element by element) — with the
+        per-call work paid once: the serving gateway folds each flush's
+        latency array (a handful to a few dozen values) through here.
+        ``sum`` is numpy's pairwise sum of the batch, so it can differ
+        from the per-element sum in the last digits.
         """
         import numpy as np
 
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
             arr = arr.reshape(-1)
-        n = int(arr.size)
-        if not n:
+        vals = arr.tolist()
+        if not vals:
             return
         self.sum += float(arr.sum())
-        lo = float(arr.min())
-        hi = float(arr.max())
+        lo = min(vals)
+        hi = max(vals)
         if self.min is None or lo < self.min:
             self.min = lo
         if self.max is None or hi > self.max:
             self.max = hi
-        idx = np.searchsorted(self.buckets, arr, side="left")
-        counts = np.bincount(idx, minlength=len(self.buckets) + 1)
-        for i, c in enumerate(counts.tolist()):
-            if c:
-                self.bucket_counts[i] += c
+        buckets = self.buckets
+        bucket_counts = self.bucket_counts
+        for value in vals:
+            bucket_counts[bisect.bisect_left(buckets, value)] += 1
         # Reservoir: algorithm R is inherently sequential (each slot draw
         # depends on the running count), so replay it exactly.
         reservoir = self._reservoir
         size = self._reservoir_size
         count = self.count
-        vals = arr.tolist()
         fill = 0
         if len(reservoir) < size:
-            fill = min(size - len(reservoir), n)
+            fill = min(size - len(reservoir), len(vals))
             reservoir.extend(vals[:fill])
             count += fill
-        rng = self._rng
+        # The draw is ``randrange(count)`` inlined, as in :meth:`observe`;
+        # ``bits`` tracks ``count.bit_length()`` and steps up each time
+        # ``count`` reaches the next power of two.
+        getrandbits = self._rng.getrandbits
+        bits = count.bit_length()
+        next_power = 1 << bits
         for value in vals[fill:]:
             count += 1
-            slot = rng.randrange(count)
+            if count == next_power:
+                bits += 1
+                next_power <<= 1
+            slot = getrandbits(bits)
+            while slot >= count:
+                slot = getrandbits(bits)
             if slot < size:
                 reservoir[slot] = value
         self.count = count

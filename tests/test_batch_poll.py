@@ -30,9 +30,11 @@ from repro.common.errors import CharacterizationError
 from repro.common.rng import derive_rng
 from repro.faults.injector import FaultInjector
 from repro.faults.models import ColdStartStorm, LatencySpike
-from repro.obs import Observability
+from repro.obs import MetricsRegistry, Observability
+from repro.obs.catalog import EVENTS, compile_bridge
 from repro.obs.export import prometheus_text
-from tests.helpers import make_cloud
+from repro.obs.hooks import Event
+from tests.helpers import SAMPLE_EVENT_FIELDS, make_cloud
 
 
 def _sleeper():
@@ -241,6 +243,34 @@ class TestBatchPollResult(object):
         # ...and reaches the exposition format that /metrics serves.
         text = prometheus_text(registry)
         assert 'poll_batches_total{{zone="{}"}} 1'.format(zone) in text
+
+    def test_every_cached_event_rebinds_after_registry_clear(self):
+        """The same holds for every event the catalog bridges: after a
+        clear, one emission rebuilds exactly what one emission builds in
+        a fresh registry."""
+        bridged = [name for name, entry in sorted(EVENTS.items())
+                   if entry.series]
+        obs = Observability()
+        for _ in range(2):
+            for name in bridged:
+                obs.bus.emit(name, 0.0, **SAMPLE_EVENT_FIELDS[name])
+        assert {key[0] for key in obs.registry.handle_cache} == set(bridged)
+        obs.registry.clear()
+        assert len(obs.registry) == 0 and not obs.registry.handle_cache
+        for name in bridged:
+            obs.bus.emit(name, 1.0, **SAMPLE_EVENT_FIELDS[name])
+
+        fresh = MetricsRegistry()
+        bridge = compile_bridge(fresh)
+        for name in bridged:
+            bridge(Event(name, 1.0, dict(SAMPLE_EVENT_FIELDS[name])))
+
+        def snapshot(registry):
+            return {(family, tuple(sorted(labels.items()))):
+                    metric.state() if kind == "histogram" else metric.value
+                    for family, kind, labels, metric in registry.collect()}
+
+        assert snapshot(obs.registry) == snapshot(fresh)
 
 
 class TestDurationsOnContract(object):

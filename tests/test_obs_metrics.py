@@ -1,10 +1,15 @@
 """The metrics registry: counters, gauges, histogram quantiles."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -116,6 +121,72 @@ class TestHistogram(object):
             first.observe(value)
             second.observe(value)
         assert first.p95 == second.p95
+
+
+def _algorithm_r(values, reservoir_size, seed=0):
+    """Vitter's algorithm R drawing slots with ``randrange``: the spec
+    both :meth:`Histogram.observe` and ``observe_many`` must replay."""
+    rng = random.Random(seed)
+    reservoir = []
+    for count, value in enumerate(values, 1):
+        if len(reservoir) < reservoir_size:
+            reservoir.append(float(value))
+        else:
+            slot = rng.randrange(count)
+            if slot < reservoir_size:
+                reservoir[slot] = float(value)
+    return reservoir, rng.getstate()
+
+
+_latencies = st.lists(
+    st.one_of(st.floats(min_value=0.0, max_value=500.0),
+              st.sampled_from(DEFAULT_BUCKETS)),
+    max_size=300)
+
+
+class TestObserveMany(object):
+    """``observe_many`` is ``observe`` per element, in order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=_latencies,
+           cuts=st.lists(st.integers(min_value=0, max_value=300),
+                         max_size=8),
+           reservoir_size=st.integers(min_value=1, max_value=16))
+    def test_matches_the_observe_loop(self, values, cuts, reservoir_size):
+        looped = Histogram(reservoir_size=reservoir_size)
+        for value in values:
+            looped.observe(value)
+        batched = Histogram(reservoir_size=reservoir_size)
+        start = 0
+        for end in sorted(min(cut, len(values)) for cut in cuts) + [
+                len(values)]:
+            batched.observe_many(np.asarray(values[start:end]))
+            start = end
+        assert batched.count == looped.count == len(values)
+        assert batched.bucket_counts == looped.bucket_counts
+        assert batched.min == looped.min
+        assert batched.max == looped.max
+        assert batched._reservoir == looped._reservoir
+        assert batched._rng.getstate() == looped._rng.getstate()
+        assert batched.sum == pytest.approx(looped.sum, rel=1e-12)
+        reservoir, rng_state = _algorithm_r(values, reservoir_size)
+        assert looped._reservoir == reservoir
+        assert looped._rng.getstate() == rng_state
+
+    def test_empty_batch_is_a_no_op(self):
+        histogram = Histogram(reservoir_size=4)
+        histogram.observe_many([])
+        assert histogram.count == 0 and histogram.min is None
+        assert histogram._rng.getstate() == random.Random(0).getstate()
+
+    def test_crosses_many_powers_of_two(self):
+        values = np.random.default_rng(9).exponential(2.0, size=5000)
+        batched = Histogram(reservoir_size=8)
+        for chunk in np.array_split(values, 37):
+            batched.observe_many(chunk)
+        reservoir, rng_state = _algorithm_r(values.tolist(), 8)
+        assert batched._reservoir == reservoir
+        assert batched._rng.getstate() == rng_state
 
 
 class TestMetricsRegistry(object):
