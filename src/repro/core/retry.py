@@ -77,15 +77,20 @@ class RetriedInvocation(object):
     fault) the engine returns a *failed* outcome — ``executed`` False,
     ``error`` set, ``final`` None — that still accounts every completed
     attempt and every dollar of hold cost instead of losing them in a
-    raised exception.
+    raised exception.  ``hold_costs`` lists the bill total of each hold in
+    order: hold ``i`` followed attempt ``i``, and ``hold_cost`` is their
+    sum.
     """
 
-    __slots__ = ("final", "attempts", "hold_cost", "executed", "error")
+    __slots__ = ("final", "attempts", "hold_cost", "hold_costs", "executed",
+                 "error")
 
-    def __init__(self, final, attempts, hold_cost, executed, error=None):
+    def __init__(self, final, attempts, hold_cost, executed, error=None,
+                 hold_costs=()):
         self.final = final
         self.attempts = list(attempts)
         self.hold_cost = hold_cost
+        self.hold_costs = list(hold_costs)
         self.executed = executed
         self.error = error
 
@@ -122,9 +127,10 @@ class RetriedInvocation(object):
 
     def __repr__(self):
         if self.failed:
+            reason = getattr(self.error, "reason",
+                             type(self.error).__name__)
             return ("RetriedInvocation(FAILED {}, attempts={}, "
-                    "hold_cost={})".format(self.error.reason,
-                                           len(self.attempts),
+                    "hold_cost={})".format(reason, len(self.attempts),
                                            self.hold_cost))
         return "RetriedInvocation(cpu={}, retries={}, cost={})".format(
             self.cpu_key, self.retries, self.total_cost)
@@ -137,7 +143,7 @@ class RetryEngine(object):
         self.cloud = cloud
 
     def invoke(self, deployment, policy, payload=None, client=None,
-               bill_category="invocation", tracer=None, parent=None):
+               bill_category="invocation"):
         """Run one request under ``policy``; returns RetriedInvocation.
 
         If the retry budget is exhausted the final attempt executes on
@@ -147,72 +153,70 @@ class RetryEngine(object):
         If the platform errors mid-loop (saturation, throttle, transient
         fault) the engine returns a **failed** :class:`RetriedInvocation`
         — ``error`` set, ``executed`` False — preserving the attempts and
-        hold cost already spent rather than losing them in the raise.
+        hold cost already spent rather than losing them in the raise.  Any
+        other exception propagates with that partial outcome attached as
+        its ``partial`` attribute.
 
-        ``tracer``/``parent`` (both optional) attach a ``placement`` child
-        span per attempt and a ``retry-hold`` span per hold, timestamped
-        with modeled latencies on the sim clock.
+        Attempt ``i`` starts at the sum of the earlier attempts' latencies
+        on the client's modeled clock, and hold ``i`` at the sum including
+        attempt ``i``; the router's request trace is built from exactly
+        that (see :meth:`repro.core.router.SmartRouter.route`).
         """
         if payload is None and hasattr(deployment.handler,
                                        "default_payload"):
             payload = deployment.handler.default_payload
         bus = self.cloud.bus
         attempts = []
+        hold_costs = []
         hold_cost = Money(0)
-        elapsed = 0.0  # modeled client-side time since the first attempt
-        for attempt in range(policy.max_retries + 1):
-            last_chance = attempt == policy.max_retries
-            banned = () if last_chance else sorted(policy.banned_cpus)
-            attempt_payload = payload
-            if payload is not None and hasattr(payload, "with_banned_cpus"):
-                attempt_payload = payload.with_banned_cpus(banned)
-            start = self.cloud.clock.now + elapsed
-            try:
-                invocation = self.cloud.invoke(
-                    deployment, payload=attempt_payload,
-                    force_new=attempt > 0, client=client,
-                    bill_category=bill_category)
-            except InvocationError as error:
+        try:
+            for attempt in range(policy.max_retries + 1):
+                last_chance = attempt == policy.max_retries
+                banned = () if last_chance else sorted(policy.banned_cpus)
+                attempt_payload = payload
+                if payload is not None and hasattr(payload,
+                                                   "with_banned_cpus"):
+                    attempt_payload = payload.with_banned_cpus(banned)
+                try:
+                    invocation = self.cloud.invoke(
+                        deployment, payload=attempt_payload,
+                        force_new=attempt > 0, client=client,
+                        bill_category=bill_category)
+                except InvocationError as error:
+                    if bus.enabled:
+                        bus.emit("retry.abort", self.cloud.clock.now,
+                                 zone=deployment.zone_id, attempt=attempt,
+                                 reason=error.reason)
+                    return RetriedInvocation(None, attempts, hold_cost,
+                                             executed=False, error=error,
+                                             hold_costs=hold_costs)
+                attempts.append(invocation)
+                if (last_chance
+                        or invocation.cpu_key not in policy.banned_cpus):
+                    return RetriedInvocation(invocation, attempts,
+                                             hold_cost, executed=True,
+                                             hold_costs=hold_costs)
                 if bus.enabled:
-                    bus.emit("retry.abort", self.cloud.clock.now,
-                             zone=deployment.zone_id, attempt=attempt,
-                             reason=error.reason)
-                return RetriedInvocation(None, attempts, hold_cost,
-                                         executed=False, error=error)
-            attempts.append(invocation)
-            elapsed += invocation.latency_s
-            accepted = (last_chance
-                        or invocation.cpu_key not in policy.banned_cpus)
-            if tracer is not None and parent is not None:
-                span = tracer.start_span("placement", parent, start,
-                                         attempt=attempt,
-                                         cpu=invocation.cpu_key,
-                                         banned=not accepted)
-                span.finish(start + invocation.latency_s)
-            if accepted:
-                return RetriedInvocation(invocation, attempts, hold_cost,
-                                         executed=True)
-            if bus.enabled:
-                bus.emit("retry.attempt", self.cloud.clock.now,
-                         zone=deployment.zone_id, cpu=invocation.cpu_key,
-                         attempt=attempt)
-            # Banned CPU: hold the FI so the re-issue lands elsewhere.
-            if policy.hold_seconds > 0:
-                bill = self.cloud.hold(deployment, invocation,
-                                       policy.hold_seconds,
-                                       bill_category="retry-hold")
-                hold_cost = hold_cost + bill.total
-                if tracer is not None and parent is not None:
-                    hold_start = self.cloud.clock.now + elapsed
-                    tracer.start_span(
-                        "retry-hold", parent, hold_start,
-                        cpu=invocation.cpu_key,
-                        cost_usd=float(bill.total)).finish(
-                            hold_start + policy.hold_seconds)
-                if bus.enabled:
-                    bus.emit("retry.hold", self.cloud.clock.now,
+                    bus.emit("retry.attempt", self.cloud.clock.now,
                              zone=deployment.zone_id,
-                             cpu=invocation.cpu_key,
-                             hold_s=policy.hold_seconds,
-                             cost_usd=float(bill.total))
+                             cpu=invocation.cpu_key, attempt=attempt)
+                # Banned CPU: hold the FI so the re-issue lands elsewhere.
+                if policy.hold_seconds > 0:
+                    bill = self.cloud.hold(deployment, invocation,
+                                           policy.hold_seconds,
+                                           bill_category="retry-hold")
+                    cost = bill.total
+                    hold_costs.append(cost)
+                    hold_cost = hold_cost + cost
+                    if bus.enabled:
+                        bus.emit("retry.hold", self.cloud.clock.now,
+                                 zone=deployment.zone_id,
+                                 cpu=invocation.cpu_key,
+                                 hold_s=policy.hold_seconds,
+                                 cost_usd=float(cost))
+        except Exception as error:
+            error.partial = RetriedInvocation(None, attempts, hold_cost,
+                                              executed=False, error=error,
+                                              hold_costs=hold_costs)
+            raise
         raise AssertionError("unreachable: loop always returns")

@@ -26,49 +26,72 @@ from repro.core.retry import RetryEngine, RetriedInvocation
 
 
 class RoutedRequest(object):
-    """Uniform view over direct and retried invocations."""
+    """Uniform view over direct and retried invocations.
 
-    __slots__ = ("decision", "outcome")
+    The request's figures are derived once, here: ``retries``, ``cost``
+    (:class:`~repro.common.units.Money`), ``latency_s``,
+    ``billed_runtime_s`` and ``cold`` — True when the invocation that
+    served the request started a new FI.
+    """
+
+    __slots__ = ("decision", "outcome", "zone_id", "cpu_key", "retries",
+                 "cost", "latency_s", "billed_runtime_s", "cold")
 
     def __init__(self, decision, outcome):
         self.decision = decision
         self.outcome = outcome
-
-    @property
-    def zone_id(self):
-        return self.decision.zone_id
-
-    @property
-    def cpu_key(self):
-        return self.outcome.cpu_key
-
-    @property
-    def retries(self):
-        if isinstance(self.outcome, RetriedInvocation):
-            return self.outcome.retries
-        return 0
-
-    @property
-    def cost(self):
-        if isinstance(self.outcome, RetriedInvocation):
-            return self.outcome.total_cost
-        return self.outcome.bill.total
-
-    @property
-    def latency_s(self):
-        if isinstance(self.outcome, RetriedInvocation):
-            return self.outcome.total_latency
-        return self.outcome.latency_s
-
-    @property
-    def billed_runtime_s(self):
-        if isinstance(self.outcome, RetriedInvocation):
-            return self.outcome.billed_runtime
-        return self.outcome.runtime_s
+        self.zone_id = decision.zone_id
+        self.cpu_key = outcome.cpu_key
+        if isinstance(outcome, RetriedInvocation):
+            self.retries = outcome.retries
+            self.cost = outcome.total_cost
+            self.latency_s = outcome.total_latency
+            self.billed_runtime_s = outcome.billed_runtime
+            self.cold = not outcome.final.reused
+        else:
+            self.retries = 0
+            self.cost = outcome.bill.total
+            self.latency_s = outcome.latency_s
+            self.billed_runtime_s = outcome.runtime_s
+            self.cold = not outcome.reused
 
     def __repr__(self):
         return "RoutedRequest(zone={}, cpu={}, retries={}, cost={})".format(
             self.zone_id, self.cpu_key, self.retries, self.cost)
+
+
+# -- request traces ------------------------------------------------------------
+#: Tag keys of a request trace's ``dispatch`` span, by how it ended.
+_SERVED = ("zone", "cpu", "retries")
+_REFUSED = ("zone", "error")
+_OPEN = ("zone",)
+_LAYOUTS = {}
+
+
+def _request_layout(decided, dispatch, attempts, holds):
+    """The :meth:`~repro.obs.trace.Tracer.record` layout of a request
+    trace: ``request`` → (``decide``) → ``dispatch`` (→ ``placement`` per
+    attempt, each but the accepted one followed by its ``retry-hold``) →
+    ``billing`` when served.  ``dispatch`` None means the request never got
+    that far."""
+    key = (decided, dispatch, attempts, holds)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        spans = [("request", None, ("workload", "policy"))]
+        if decided:
+            spans.append(("decide", 0, ("zone",)))
+        if dispatch is not None:
+            parent = len(spans)
+            spans.append(("dispatch", 0, dispatch))
+            for attempt in range(attempts):
+                spans.append(("placement", parent,
+                              ("attempt", "cpu", "banned")))
+                if attempt < holds:
+                    spans.append(("retry-hold", parent, ("cpu", "cost_usd")))
+            if dispatch is _SERVED:
+                spans.append(("billing", 0, ("cost_usd",)))
+        layout = _LAYOUTS[key] = tuple(spans)
+    return layout
 
 
 class SmartRouter(object):
@@ -140,36 +163,39 @@ class SmartRouter(object):
         """Route a single request; returns a :class:`RoutedRequest`.
 
         When the router carries an :class:`~repro.obs.Observability`, each
-        call produces one trace — ``request`` → (``decide``) →
+        call records one trace — ``request`` → (``decide``) →
         ``dispatch`` (→ ``placement``/``retry-hold`` per retry attempt) →
-        ``billing`` — on sim-clock timestamps, and when it carries a
-        :class:`~repro.core.telemetry.RoutingTelemetry` the outcome is
-        recorded there with the real sim-clock timestamp.
+        ``billing`` — on sim-clock timestamps, once the outcome is known;
+        its spans are built only if someone reads it.  A refused request
+        (:class:`~repro.common.errors.InvocationError`) ends its spans at
+        the request's start with the reason tagged on ``dispatch``; any
+        other exception leaves the trace open where it struck.  When the
+        router carries a :class:`~repro.core.telemetry.RoutingTelemetry`
+        the outcome is recorded there with the real sim-clock timestamp.
         """
         obs = self.obs
         tracer = obs.tracer if obs is not None and obs.enabled else None
         now = self.cloud.clock.now
-        root = None
-        if tracer is not None:
-            root = tracer.start_trace("request", now,
-                                      workload=self.workload.name,
-                                      policy=self.policy.name)
-        if decision is None:
-            decision = self.decide()
-            if root is not None:
-                tracer.start_span("decide", root, now,
-                                  zone=decision.zone_id).finish(now)
-        deployment = self._deployment_for(decision.zone_id)
-        dispatch = None
-        if root is not None:
-            dispatch = tracer.start_span("dispatch", root, now,
-                                         zone=decision.zone_id)
+        decided = decision is None
+        try:
+            if decided:
+                decision = self.decide()
+            deployment = self._deployment_for(decision.zone_id)
+        except BaseException:
+            if tracer is not None:
+                # A failed decide leaves the root alone; a failed lookup
+                # leaves the root and its decide span.
+                self._record_trace(tracer, now,
+                                   decided and decision is not None,
+                                   decision, None)
+            raise
+        retry_policy = decision.retry_policy
         health = self.health
         try:
-            if decision.retry_policy is not None:
+            if retry_policy is not None:
                 outcome = self._retry_engine.invoke(
-                    deployment, decision.retry_policy, payload=self._payload,
-                    client=self.client, tracer=tracer, parent=dispatch)
+                    deployment, retry_policy, payload=self._payload,
+                    client=self.client)
                 if outcome.failed:
                     # Surface the structured partial outcome alongside the
                     # error so callers can account attempts and hold cost.
@@ -178,25 +204,28 @@ class SmartRouter(object):
             else:
                 outcome = self.cloud.invoke(deployment, payload=self._payload,
                                             client=self.client)
-        except InvocationError as error:
-            if health is not None:
+        except BaseException as error:
+            refused = isinstance(error, InvocationError)
+            if refused and health is not None:
                 health.record_failure(decision.zone_id, now,
                                       reason=error.reason)
-            if root is not None:
-                dispatch.finish(now).tag(error=error.reason)
-                root.finish(now)
+            if tracer is not None:
+                partial = (getattr(error, "partial", None)
+                           if retry_policy is not None else None)
+                self._record_trace(tracer, now, decided, decision,
+                                   _REFUSED if refused else _OPEN,
+                                   retried=partial,
+                                   reason=error.reason if refused else None)
             raise
         request = RoutedRequest(decision, outcome)
         if health is not None:
             health.record_success(decision.zone_id, now,
                                   latency_s=request.latency_s)
-        if root is not None:
-            done = now + request.latency_s
-            dispatch.finish(done).tag(cpu=request.cpu_key,
-                                      retries=request.retries)
-            tracer.start_span("billing", root, done,
-                              cost_usd=float(request.cost)).finish(done)
-            root.finish(done)
+        if tracer is not None:
+            self._record_trace(
+                tracer, now, decided, decision, _SERVED,
+                retried=outcome if retry_policy is not None else None,
+                request=request)
         if self.passive:
             self.store.record_observation(decision.zone_id,
                                           request.cpu_key,
@@ -205,6 +234,54 @@ class SmartRouter(object):
             self.telemetry.record(request, workload=self.workload.name,
                                   policy=self.policy.name, timestamp=now)
         return request
+
+    def _record_trace(self, tracer, now, decided, decision, dispatch,
+                      retried=None, request=None, reason=None):
+        """Record one request's trace (see :meth:`route`) as a single
+        :meth:`~repro.obs.trace.Tracer.record` entry.
+
+        ``dispatch`` is the dispatch span's tag keys — ``_SERVED``,
+        ``_REFUSED`` or ``_OPEN`` — or None when the request failed before
+        dispatch.  Retry attempts are laid out on the client's modeled
+        clock exactly as :meth:`RetryEngine.invoke` runs them.
+        """
+        if dispatch is _SERVED:
+            end = now + request.latency_s
+        elif dispatch is _REFUSED:
+            end = now
+        else:
+            end = None
+        values = [now, end, self.workload.name, self.policy.name]
+        if decided:
+            values += (now, now, decision.zone_id)
+        attempts = holds = 0
+        if dispatch is not None:
+            values += (now, end, decision.zone_id)
+            if dispatch is _SERVED:
+                values += (request.cpu_key, request.retries)
+            elif dispatch is _REFUSED:
+                values.append(reason)
+            if retried is not None:
+                attempts = len(retried.attempts)
+                hold_costs = retried.hold_costs
+                holds = len(hold_costs)
+                hold_s = decision.retry_policy.hold_seconds
+                accepted = attempts - 1 if retried.executed else -1
+                elapsed = 0.0
+                for attempt, invocation in enumerate(retried.attempts):
+                    start = now + elapsed
+                    elapsed += invocation.latency_s
+                    values += (start, start + invocation.latency_s, attempt,
+                               invocation.cpu_key, attempt != accepted)
+                    if attempt < holds:
+                        hold_start = now + elapsed
+                        values += (hold_start, hold_start + hold_s,
+                                   invocation.cpu_key,
+                                   float(hold_costs[attempt]))
+            if dispatch is _SERVED:
+                values += (end, end, float(request.cost))
+        tracer.record(_request_layout(decided, dispatch, attempts, holds),
+                      values)
 
     def route_with_failover(self, max_zones=None):
         """Route one request, failing over across candidate zones.

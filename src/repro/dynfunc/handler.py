@@ -24,7 +24,11 @@ Two flavours:
 import numpy as np
 
 from repro.common.errors import ConfigurationError, PayloadError
-from repro.cloudsim.handlers import Handler, ScaledWorkloadHandler
+from repro.cloudsim.handlers import (
+    Handler,
+    ModeledWorkloadHandler,
+    ScaledWorkloadHandler,
+)
 from repro.dynfunc.payload import DynamicPayload, payload_decode_seconds
 
 # Cost of reading /proc/cpuinfo and comparing against the banned list.
@@ -68,23 +72,25 @@ class _DynamicOverheadBase(Handler):
         model = self._model_for(payload)
         if cpu_key is None:
             # Occupancy estimate (batch polls pass cpu_key=None before
-            # placement picks real CPUs).  Models keyed strictly by CPU
-            # have no factor for None; fall back to the reference-CPU
-            # mean, consuming no RNG — both batch-poll paths make this
-            # call identically, so the stream contract holds.
-            try:
-                return overhead + model.duration_on(None, rng)
-            except ConfigurationError:
-                return overhead + self._reference_duration(model)
+            # placement picks real CPUs).
+            return overhead + self._occupancy_duration(model, rng)
         return overhead + model.duration_on(cpu_key, rng)
 
     @staticmethod
-    def _reference_duration(model):
+    def _occupancy_duration(model, rng):
+        """``model``'s draw for ``cpu_key=None``.  A model keyed strictly
+        by CPU has no factor for None; it gives the reference-CPU mean and
+        consumes no RNG — both batch-poll paths make this call
+        identically, so the stream contract holds."""
         scale = 1.0
-        while isinstance(model, ScaledWorkloadHandler):
-            scale *= model.scale
-            model = model.inner
-        return scale * model.base_seconds
+        base = model
+        while isinstance(base, ScaledWorkloadHandler):
+            scale *= base.scale
+            base = base.inner
+        if (isinstance(base, ModeledWorkloadHandler)
+                and base.cpu_factors.get(None, base.default_factor) is None):
+            return scale * base.base_seconds
+        return model.duration_on(None, rng)
 
     def durations_on(self, cpu_key, rng, count, payload=None):
         """Vectorized batch draw, loop-equivalent to ``duration_on``.

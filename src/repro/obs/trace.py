@@ -1,8 +1,10 @@
 """Request-lifecycle tracing with sim-clock timestamps.
 
-A :class:`Tracer` builds parent/child span trees over the routing path —
+A :class:`Tracer` holds parent/child span trees over the routing path —
 router decision → dispatch → AZ placement attempts → retry holds →
-billing — and retains a bounded number of completed traces in memory.
+billing — and retains a bounded number of recent traces in memory.  A
+request's trace is recorded once its outcome is known and its spans are
+built only when someone reads it.
 
 Because the simulator's clock does not advance *during* an invocation,
 span durations are derived from the modeled latencies: the caller finishes
@@ -11,7 +13,6 @@ timestamps are seconds of simulated time.
 """
 
 import collections
-import itertools
 
 from repro.common.errors import ConfigurationError
 
@@ -113,48 +114,107 @@ class Trace(object):
             self.trace_id, len(self), self.complete)
 
 
-class Tracer(object):
-    """Creates spans and retains the most recent completed traces.
+def _build(entry):
+    """Materialize a recorded entry (see :meth:`Tracer.record`)."""
+    trace_id, first_span_id, layout, values = entry
+    spans = []
+    at = 0
+    for offset, (name, parent, keys) in enumerate(layout):
+        tags_at = at + 2
+        span = Span(trace_id, first_span_id + offset,
+                    None if parent is None else first_span_id + parent,
+                    name, values[at],
+                    dict(zip(keys, values[tags_at:tags_at + len(keys)])))
+        end = values[at + 1]
+        if end is not None:
+            span.end = float(end)
+        spans.append(span)
+        at = tags_at + len(keys)
+    trace = Trace(trace_id, spans[0])
+    trace.spans = spans
+    return trace
 
-    The store is bounded (``max_traces``); older traces are evicted FIFO.
-    Traces are retained from creation (not completion) so an abandoned
-    trace is still inspectable.
+
+class Tracer(object):
+    """Creates spans and retains the most recent traces.
+
+    Two kinds of trace share one bounded FIFO store (``max_traces``):
+
+    * a **live** trace is opened with :meth:`start_trace` and grown with
+      :meth:`start_span`/:meth:`graft` — for spans whose end is not known
+      when they start (a sweep root, worker cells, grafted chunks);
+    * a **recorded** trace is handed over whole by :meth:`record` as one
+      compact entry.  Its :class:`Trace` and :class:`Span` objects are
+      built the first time it is read; from then on it is a live trace.
+
+    Every trace takes the next trace id and joins the store as it is
+    created (an abandoned live trace stays inspectable), so the store
+    always holds consecutive ids and a lookup is an index, not a search.
     """
 
     def __init__(self, max_traces=256):
         if max_traces < 1:
             raise ConfigurationError("max_traces must be >= 1")
         self._traces = collections.deque(maxlen=int(max_traces))
-        self._by_id = {}
-        self._next_trace_id = itertools.count(1)
-        self._next_span_id = itertools.count(1)
+        self._next_trace_id = 1
+        self._next_span_id = 1
 
     # -- span creation ------------------------------------------------------
+    def _new_span_id(self):
+        span_id = self._next_span_id
+        self._next_span_id = span_id + 1
+        return span_id
+
     def start_trace(self, name, timestamp, **tags):
         """Open a new root span (and the trace that owns it)."""
-        trace_id = next(self._next_trace_id)
-        root = Span(trace_id, next(self._next_span_id), None, name,
-                    timestamp, tags)
-        trace = Trace(trace_id, root)
-        if len(self._traces) == self._traces.maxlen:
-            evicted = self._traces[0]
-            self._by_id.pop(evicted.trace_id, None)
-        self._traces.append(trace)
-        self._by_id[trace_id] = trace
+        trace_id = self._next_trace_id
+        self._next_trace_id = trace_id + 1
+        root = Span(trace_id, self._new_span_id(), None, name, timestamp,
+                    tags)
+        self._traces.append(Trace(trace_id, root))
         return root
+
+    def record(self, layout, values):
+        """Store a trace whose spans are all known, without building them.
+
+        ``layout`` is a tuple of ``(name, parent_index, tag_keys)``, one
+        per span in start order; ``parent_index`` points into the layout
+        (None for the root, which comes first).  ``values`` is flat: per
+        span its start, its end (None while open) and one value per tag
+        key.  The trace takes the next trace id and one span id per layout
+        entry, in layout order, exactly as :meth:`start_trace` and
+        :meth:`start_span` calls in that order would.
+        """
+        trace_id = self._next_trace_id
+        self._next_trace_id = trace_id + 1
+        first_span_id = self._next_span_id
+        self._next_span_id = first_span_id + len(layout)
+        self._traces.append((trace_id, first_span_id, layout, values))
+
+    def _stored(self, trace_id):
+        """The stored trace with ``trace_id`` (built if recorded), or None
+        when it was evicted or never existed."""
+        traces = self._traces
+        index = trace_id - (self._next_trace_id - len(traces))
+        if index < 0 or index >= len(traces):
+            return None
+        entry = traces[index]
+        if entry.__class__ is tuple:
+            entry = traces[index] = _build(entry)
+        return entry
 
     def start_span(self, name, parent, timestamp, **tags):
         """Open a child span under ``parent`` (any span of a live trace)."""
         if parent is None:
             raise ConfigurationError(
                 "child spans need a parent; use start_trace for roots")
-        trace = self._by_id.get(parent.trace_id)
+        trace = self._stored(parent.trace_id)
         if trace is None:
             raise ConfigurationError(
                 "trace {} was evicted; cannot extend it".format(
                     parent.trace_id))
-        span = Span(parent.trace_id, next(self._next_span_id),
-                    parent.span_id, name, timestamp, tags)
+        span = Span(parent.trace_id, self._new_span_id(), parent.span_id,
+                    name, timestamp, tags)
         trace.add(span)
         return span
 
@@ -171,7 +231,7 @@ class Tracer(object):
         """
         if parent is None:
             raise ConfigurationError("graft needs a live parent span")
-        trace = self._by_id.get(parent.trace_id)
+        trace = self._stored(parent.trace_id)
         if trace is None:
             raise ConfigurationError(
                 "trace {} was evicted; cannot graft onto it".format(
@@ -180,7 +240,7 @@ class Tracer(object):
         grafted = []
         for payload in span_dicts:
             parent_id = id_map.get(payload.get("parent_id"), parent.span_id)
-            span = Span(parent.trace_id, next(self._next_span_id), parent_id,
+            span = Span(parent.trace_id, self._new_span_id(), parent_id,
                         payload["name"], float(payload["start"]) + shift,
                         dict(payload.get("tags") or {}))
             if payload.get("end") is not None:
@@ -192,21 +252,28 @@ class Tracer(object):
 
     # -- retrieval ----------------------------------------------------------
     def traces(self, complete_only=False):
-        traces = list(self._traces)
+        traces = self._traces
+        if any(entry.__class__ is tuple for entry in traces):
+            built = [_build(entry) if entry.__class__ is tuple else entry
+                     for entry in traces]
+            traces.clear()
+            traces.extend(built)
         if complete_only:
-            traces = [t for t in traces if t.complete]
-        return traces
+            return [t for t in traces if t.complete]
+        return list(traces)
 
     def trace(self, trace_id):
-        try:
-            return self._by_id[trace_id]
-        except KeyError:
+        trace = self._stored(trace_id)
+        if trace is None:
             raise ConfigurationError(
                 "unknown (or evicted) trace {}".format(trace_id))
+        return trace
 
     def last_trace(self, complete_only=True):
         """The most recent (complete) trace, or None."""
-        for trace in reversed(self._traces):
+        newest = self._next_trace_id - 1
+        for trace_id in range(newest, newest - len(self._traces), -1):
+            trace = self._stored(trace_id)
             if not complete_only or trace.complete:
                 return trace
         return None

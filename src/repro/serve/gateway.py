@@ -425,7 +425,7 @@ class ServeGateway(object):
                     continue
                 served += 1
                 cost += float(request.cost)
-                if not getattr(request.outcome, "reused", True):
+                if request.cold:
                     cold += 1
                 latencies.append(request.latency_s + wait)
         report.batches_scalar += 1

@@ -1,9 +1,13 @@
 """Simulator-side dynamic-function handlers."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, PayloadError
-from repro.cloudsim.handlers import ModeledWorkloadHandler
+from repro.cloudsim.handlers import (
+    ModeledWorkloadHandler,
+    ScaledWorkloadHandler,
+)
 from repro.dynfunc import (
     CPU_CHECK_SECONDS,
     DynamicFunctionHandler,
@@ -112,3 +116,42 @@ class TestUniversalHandler(object):
         payload = build_payload(SOURCE)  # no workload arg
         with pytest.raises(PayloadError):
             handler.duration_on("xeon-2.5", None, payload)
+
+
+class TestOccupancyDuration(object):
+    """``duration_on(None, ...)``: the occupancy estimate batch polls draw
+    before placement picks CPUs."""
+
+    @staticmethod
+    def _noisy(default_factor=None):
+        return ModeledWorkloadHandler("wl", 10.0, {"fast": 0.9},
+                                      noise_sigma=0.05,
+                                      default_factor=default_factor)
+
+    def test_cpu_keyed_model_gives_reference_mean_without_raising(
+            self, monkeypatch):
+        raised = []
+        original = ConfigurationError.__init__
+
+        def counting(self, *args):
+            raised.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(ConfigurationError, "__init__", counting)
+        handler = DynamicFunctionHandler(ScaledWorkloadHandler(
+            ScaledWorkloadHandler(self._noisy(), 1.5), 2.0))
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert handler.duration_on(None, rng) == 2.0 * 1.5 * 10.0
+        assert rng.bit_generator.state == state
+        assert raised == []
+
+    def test_model_with_a_default_factor_draws_like_the_model(self):
+        noisy = self._noisy(default_factor=1.2)
+        handler = DynamicFunctionHandler(noisy)
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        assert handler.duration_on(None, ours) == noisy.duration_on(
+            None, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.bit_generator.state != np.random.default_rng(
+            5).bit_generator.state

@@ -11,6 +11,7 @@ import asyncio
 import pytest
 
 from repro import Observability, SkyController, workload_by_name
+from repro.core import RetryRoutingPolicy
 from repro.common.errors import ConfigurationError
 from repro.core.slo import default_slo_s
 from repro.sampling import CharacterizationBuilder
@@ -29,13 +30,13 @@ ZONES = ("test-1a", "test-1b")
 
 
 def make_gateway(seed=7, rate_rps=2000.0, config=None, arrivals=None,
-                 workload="sha1_hash"):
+                 workload="sha1_hash", policy=None):
     """A small two-zone serving rig with pre-seeded characterizations."""
     cloud = make_cloud(seed=seed)
     obs = Observability()
     account = cloud.create_account("serve", "aws")
     controller = SkyController(cloud, account, list(ZONES), obs=obs,
-                               sampling_count=2)
+                               sampling_count=2, policy=policy)
     for zone_id in ZONES:
         builder = CharacterizationBuilder(zone_id)
         builder.add_poll({key: pool.capacity
@@ -208,6 +209,34 @@ class TestGateway(object):
         assert report.batches_coalesced == 0
         assert report.served > 0
         assert_conservation(report)
+
+    def test_scalar_cold_starts_count_retried_requests(self):
+        # A retried request is cold when the invocation that served it
+        # (its last attempt) started a new FI.
+        config = GatewayConfig(batch_floor=100000)
+        gateway = make_gateway(
+            seed=5, rate_rps=300.0, config=config,
+            policy=RetryRoutingPolicy("test-1a", "focus_fastest"))
+        routed = []
+        route = gateway.router.route
+
+        def recording(decision=None):
+            request = route(decision)
+            routed.append(request)
+            return request
+
+        gateway.router.route = recording
+        report = gateway.run_sync(1.0)
+        assert report.batches_coalesced == 0
+        assert any(request.retries for request in routed)
+        cold = sum(1 for request in routed
+                   if not request.outcome.final.reused)
+        assert cold > 0
+        registry = gateway.controller.obs.registry
+        counted = sum(
+            registry.get("serve_cold_starts_total", **labels).value
+            for labels in registry.labels_of("serve_cold_starts_total"))
+        assert counted == cold
 
     def test_rate_limit_sheds_and_reports(self):
         config = GatewayConfig(rate_limit_rps=500.0, burst=50.0)
